@@ -18,7 +18,7 @@ namespace {
 using namespace hxwar;
 using namespace hxwar::bench;
 
-harness::ExperimentConfig quick(harness::ExperimentConfig base) {
+harness::ExperimentSpec quick(harness::ExperimentSpec base) {
   base.steady.maxWarmupWindows = 14;
   base.steady.measureWindow = 2500;
   base.steady.drainWindow = 6000;
@@ -33,16 +33,16 @@ void derouteBudget(const BenchOptions& opts) {
   std::printf("--- OmniWAR deroute budget M: VCs required (N+M) vs. throughput ---\n");
   harness::Table table({"M", "classes (VCs)", "BC accepted @ 40%", "UR accepted @ 90%"});
   for (const std::uint32_t m : {0u, 1u, 2u, 3u, 5u}) {
-    harness::ExperimentConfig cfg = quick(opts.base);
-    cfg.algorithm = "omniwar";
-    cfg.routingOpts.omniDeroutes = m;
-    if (3 + m > cfg.net.router.numVcs) break;  // needs N+M VCs
-    cfg.pattern = "bc";
-    cfg.injection.rate = 0.4;
-    const double bc = harness::Experiment(cfg).run().accepted;
-    cfg.pattern = "ur";
-    cfg.injection.rate = 0.9;
-    const double ur = harness::Experiment(cfg).run().accepted;
+    harness::ExperimentSpec spec = quick(opts.spec);
+    spec.routing = "omniwar";
+    spec.params["omni-deroutes"] = std::to_string(m);
+    if (3 + m > spec.net.router.numVcs) break;  // needs N+M VCs
+    spec.pattern = "bc";
+    spec.injection.rate = 0.4;
+    const double bc = harness::Experiment(spec).run().accepted;
+    spec.pattern = "ur";
+    spec.injection.rate = 0.9;
+    const double ur = harness::Experiment(spec).run().accepted;
     table.addRow({m == 0 ? "0 (deroutes only on slack)" : std::to_string(m),
                   std::to_string(3 + m), harness::Table::pct(bc), harness::Table::pct(ur)});
   }
@@ -55,12 +55,12 @@ void backToBack(const BenchOptions& opts) {
   harness::Table table({"restriction", "pattern", "accepted", "lat_mean", "deroutes"});
   for (const bool restrict_ : {false, true}) {
     for (const char* pattern : {"bc", "dcr"}) {
-      harness::ExperimentConfig cfg = quick(opts.base);
-      cfg.algorithm = "omniwar";
-      cfg.routingOpts.omniRestrictBackToBack = restrict_;
-      cfg.pattern = pattern;
-      cfg.injection.rate = 0.4;
-      const auto r = harness::Experiment(cfg).run();
+      harness::ExperimentSpec spec = quick(opts.spec);
+      spec.routing = "omniwar";
+      spec.params["omni-restrict-b2b"] = restrict_ ? "true" : "false";
+      spec.pattern = pattern;
+      spec.injection.rate = 0.4;
+      const auto r = harness::Experiment(spec).run();
       table.addRow({restrict_ ? "on" : "off", pattern, harness::Table::pct(r.accepted),
                     r.saturated ? "-" : harness::Table::num(r.latencyMean, 1),
                     harness::Table::num(r.avgDeroutes, 3)});
@@ -75,15 +75,15 @@ void weightBias(const BenchOptions& opts) {
   harness::Table table({"bias", "UR@80% accepted", "UR deroutes", "BC@40% accepted",
                         "BC lat_mean"});
   for (const double bias : {0.5, 1.0, 4.0, 16.0, 64.0}) {
-    harness::ExperimentConfig cfg = quick(opts.base);
-    cfg.algorithm = "dimwar";
-    cfg.net.router.weightBias = bias;
-    cfg.pattern = "ur";
-    cfg.injection.rate = 0.8;
-    const auto ur = harness::Experiment(cfg).run();
-    cfg.pattern = "bc";
-    cfg.injection.rate = 0.4;
-    const auto bc = harness::Experiment(cfg).run();
+    harness::ExperimentSpec spec = quick(opts.spec);
+    spec.routing = "dimwar";
+    spec.net.router.weightBias = bias;
+    spec.pattern = "ur";
+    spec.injection.rate = 0.8;
+    const auto ur = harness::Experiment(spec).run();
+    spec.pattern = "bc";
+    spec.injection.rate = 0.4;
+    const auto bc = harness::Experiment(spec).run();
     table.addRow({harness::Table::num(bias, 1), harness::Table::pct(ur.accepted),
                   harness::Table::num(ur.avgDeroutes, 3), harness::Table::pct(bc.accepted),
                   bc.saturated ? "-" : harness::Table::num(bc.latencyMean, 1)});
@@ -96,15 +96,15 @@ void vcCount(const BenchOptions& opts) {
   std::printf("--- VC count: DimWAR needs 2 classes; spares reduce HoL blocking ---\n");
   harness::Table table({"VCs", "UR@80% accepted", "UR lat_mean", "BC@40% accepted"});
   for (const std::uint32_t vcs : {2u, 4u, 8u}) {
-    harness::ExperimentConfig cfg = quick(opts.base);
-    cfg.algorithm = "dimwar";
-    cfg.net.router.numVcs = vcs;
-    cfg.pattern = "ur";
-    cfg.injection.rate = 0.8;
-    const auto ur = harness::Experiment(cfg).run();
-    cfg.pattern = "bc";
-    cfg.injection.rate = 0.4;
-    const auto bc = harness::Experiment(cfg).run();
+    harness::ExperimentSpec spec = quick(opts.spec);
+    spec.routing = "dimwar";
+    spec.net.router.numVcs = vcs;
+    spec.pattern = "ur";
+    spec.injection.rate = 0.8;
+    const auto ur = harness::Experiment(spec).run();
+    spec.pattern = "bc";
+    spec.injection.rate = 0.4;
+    const auto bc = harness::Experiment(spec).run();
     table.addRow({std::to_string(vcs), harness::Table::pct(ur.accepted),
                   ur.saturated ? "-" : harness::Table::num(ur.latencyMean, 1),
                   harness::Table::pct(bc.accepted)});
@@ -117,15 +117,15 @@ void arbitration(const BenchOptions& opts) {
   std::printf("--- Arbitration policy: age-based (paper) vs. round-robin ---\n");
   harness::Table table({"policy", "UR@80% lat_mean", "UR lat_p99", "BC@40% lat_mean"});
   for (const auto policy : {net::ArbiterPolicy::kAgeBased, net::ArbiterPolicy::kRoundRobin}) {
-    harness::ExperimentConfig cfg = quick(opts.base);
-    cfg.algorithm = "dimwar";
-    cfg.net.router.arbiter = policy;
-    cfg.pattern = "ur";
-    cfg.injection.rate = 0.8;
-    const auto ur = harness::Experiment(cfg).run();
-    cfg.pattern = "bc";
-    cfg.injection.rate = 0.4;
-    const auto bc = harness::Experiment(cfg).run();
+    harness::ExperimentSpec spec = quick(opts.spec);
+    spec.routing = "dimwar";
+    spec.net.router.arbiter = policy;
+    spec.pattern = "ur";
+    spec.injection.rate = 0.8;
+    const auto ur = harness::Experiment(spec).run();
+    spec.pattern = "bc";
+    spec.injection.rate = 0.4;
+    const auto bc = harness::Experiment(spec).run();
     table.addRow({policy == net::ArbiterPolicy::kAgeBased ? "age-based" : "round-robin",
                   ur.saturated ? "-" : harness::Table::num(ur.latencyMean, 1),
                   ur.saturated ? "-" : harness::Table::num(ur.latencyP99, 1),
@@ -140,32 +140,19 @@ void trunking(const BenchOptions& opts) {
   std::printf("(2D 4x4, K=4: T=2 doubles per-dimension bandwidth at 6 extra ports)\n");
   harness::Table table({"T", "ports/router", "BC accepted @ 60%", "UR accepted @ 90%"});
   for (const std::uint32_t t : {1u, 2u}) {
-    harness::ExperimentConfig cfg = quick(opts.base);
-    cfg.widths = {4, 4};
-    cfg.terminalsPerRouter = 4;
-    cfg.algorithm = "dimwar";
-    topo::HyperX topo({cfg.widths, cfg.terminalsPerRouter, t});
-    // Rebuild through the raw pieces since ExperimentConfig has no T knob by
-    // design (the paper's system is untrunked); this ablation is the reason
-    // the topology supports it.
-    sim::Simulator sim1;
-    auto routing1 = routing::makeHyperXRouting("dimwar", topo, cfg.routingOpts);
-    net::Network net1(sim1, topo, *routing1, cfg.net);
-    auto bcPat = traffic::makePattern("bc", topo);
-    traffic::SyntheticInjector::Params inj = cfg.injection;
-    inj.rate = 0.6;
-    traffic::SyntheticInjector inj1(sim1, net1, *bcPat, inj);
-    const auto bc = metrics::runSteadyState(sim1, net1, inj1, cfg.steady);
-
-    sim::Simulator sim2;
-    auto routing2 = routing::makeHyperXRouting("dimwar", topo, cfg.routingOpts);
-    net::Network net2(sim2, topo, *routing2, cfg.net);
-    auto urPat = traffic::makePattern("ur", topo);
-    inj.rate = 0.9;
-    traffic::SyntheticInjector inj2(sim2, net2, *urPat, inj);
-    const auto ur = metrics::runSteadyState(sim2, net2, inj2, cfg.steady);
-
-    table.addRow({std::to_string(t), std::to_string(topo.numPorts(0)),
+    harness::ExperimentSpec spec = quick(opts.spec);
+    spec.routing = "dimwar";
+    spec.params["widths"] = "4,4";
+    spec.params["terminals"] = "4";
+    spec.params["trunking"] = std::to_string(t);
+    spec.pattern = "bc";
+    spec.injection.rate = 0.6;
+    harness::Experiment bcExp(spec);
+    const auto bc = bcExp.run();
+    spec.pattern = "ur";
+    spec.injection.rate = 0.9;
+    const auto ur = harness::Experiment(spec).run();
+    table.addRow({std::to_string(t), std::to_string(bcExp.topology().numPorts(0)),
                   harness::Table::pct(bc.accepted), harness::Table::pct(ur.accepted)});
   }
   table.print();

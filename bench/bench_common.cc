@@ -29,24 +29,18 @@ BenchOptions parseBenchOptions(int argc, char** argv, std::vector<double> defaul
   flags.parse(argc, argv);
   BenchOptions opts;
   opts.scale = flags.str("scale", "small");
-  opts.base = harness::scaleConfig(opts.scale);
   opts.seed = flags.u64("seed", 7);
-  opts.base.injection.seed = opts.seed;
-  opts.base.net.rngSeed = opts.seed + 1;
-  opts.base.net.router.weightBias = flags.f64("bias", opts.base.net.router.weightBias);
-  if (flags.has("warmup-windows")) {
-    opts.base.steady.maxWarmupWindows =
-        static_cast<std::uint32_t>(flags.u64("warmup-windows", 25));
-  }
+  // The HyperX preset, then every flag — including --topology and family
+  // construction params — on top of it.
+  opts.spec = harness::scaleSpec(opts.scale);
+  opts.spec.injection.seed = opts.seed;
+  opts.spec.net.rngSeed = opts.seed + 1;
+  opts.spec.applyFlags(flags);
   opts.loads = flags.f64List("loads", defaultLoads);
   opts.csvPath = flags.str("csv", "");
   opts.jobs = static_cast<unsigned>(flags.u64("jobs", harness::defaultJobs()));
   if (opts.jobs == 0) opts.jobs = 1;
   opts.perfJsonPath = flags.str("perf-json", "BENCH_sweep.json");
-  // The unified view starts from the HyperX preset and lets every flag —
-  // including --topology and family construction params — override it.
-  opts.spec = opts.base.toSpec();
-  opts.spec.applyFlags(flags);
   opts.pointJobs = opts.spec.pointJobs;
   const std::string algos = flags.str("algorithms", "");
   opts.algorithms =
@@ -54,6 +48,12 @@ BenchOptions parseBenchOptions(int argc, char** argv, std::vector<double> defaul
           ? harness::ExperimentRegistry::instance().benchRoutingNames(opts.spec.topology)
           : splitCsv(algos);
   return opts;
+}
+
+bool requireSerialPoints(const BenchOptions& opts) {
+  if (opts.pointJobs <= 1) return true;
+  std::fprintf(stderr, "--point-jobs applies to steady/sweep experiments only\n");
+  return false;
 }
 
 void printHeader(const std::string& figure, const std::string& description,

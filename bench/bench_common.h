@@ -13,11 +13,10 @@
 namespace hxwar::bench {
 
 struct BenchOptions {
-  harness::ExperimentConfig base;       // legacy HyperX view (scale preset + flags)
-  // Unified topology-agnostic view: base.toSpec() with every flag applied, so
-  // --topology/--routing/construction params select any registered family.
-  // fig06*/ext_collectives run on this; the HyperX-structural benches (fig08,
-  // sec32, transient, ablation) still mutate `base` directly.
+  // The --scale preset with every flag applied: --topology/--routing and
+  // construction params select any registered family, and --vcs,
+  // --measure-window etc. reach every bench. Benches copy it per run and set
+  // routing, pattern and params.
   harness::ExperimentSpec spec;
   std::vector<std::string> algorithms;  // canonical registry order
   std::vector<double> loads;
@@ -36,9 +35,14 @@ struct BenchOptions {
   std::string perfJsonPath = "BENCH_sweep.json";
 };
 
-// Parses --scale, --algorithms, --loads, --seed, --warmup-windows, --bias,
-// --csv, --jobs, --perf-json.
+// Parses --scale, --algorithms, --loads, --seed, --csv, --jobs, --perf-json,
+// and every ExperimentSpec flag (see ExperimentSpec::applyFlags).
 BenchOptions parseBenchOptions(int argc, char** argv, std::vector<double> defaultLoads);
+
+// Benches that drive time through exp.sim()/exp.network() themselves run on
+// one simulator; intra-point sharding exists only inside Experiment::run().
+// Returns false, after saying so on stderr, when --point-jobs asks for more.
+bool requireSerialPoints(const BenchOptions& opts);
 
 // Prints the figure banner: what the paper shows, what we run.
 void printHeader(const std::string& figure, const std::string& description,

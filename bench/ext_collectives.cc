@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
   auto opts = parseBenchOptions(argc, argv, {});
+  if (!requireSerialPoints(opts)) return 1;
   printHeader("Collectives (extension)",
               "Allreduce schedules x routing algorithms (makespan in cycles)", opts);
 
@@ -98,11 +99,13 @@ int main(int argc, char** argv) {
         row.push_back(std::to_string(cell.makespan));
         csv.row({std::to_string(bytes), opts.algorithms[ai],
                  app::collectiveKindName(kinds[ki]), std::to_string(cell.makespan)});
-        perf.add({opts.algorithms[ai] + "/" + app::collectiveKindName(kinds[ki]),
-                  static_cast<double>(bytes), false, cell.wallSeconds, cell.events,
-                  cell.wallSeconds > 0.0
-                      ? static_cast<double>(cell.events) / cell.wallSeconds
-                      : 0.0});
+        perf.add({.series = opts.algorithms[ai] + "/" + app::collectiveKindName(kinds[ki]),
+                  .load = static_cast<double>(bytes),
+                  .wallSeconds = cell.wallSeconds,
+                  .events = cell.events,
+                  .eventsPerSec = cell.wallSeconds > 0.0
+                                      ? static_cast<double>(cell.events) / cell.wallSeconds
+                                      : 0.0});
       }
       table.addRow(std::move(row));
     }

@@ -5,7 +5,7 @@
 // seeds upward from --seed until the degraded network is both connected and
 // one-deroute-routable, so the fault-aware adaptives are guaranteed a live
 // candidate everywhere), then probes every algorithm at high offered load
-// with --fault-drop semantics: a router with no live output drops the packet
+// under --fault-policy=drop: a router with no live output drops the packet
 // instead of aborting, so the oblivious baseline (DOR) is measurable.
 //
 // Expectation: DOR's delivered throughput collapses with the fault rate (any
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       spec.pattern = "ur";
       spec.fault.rate = rates[ri];
       spec.fault.seed = seeds[ri];
-      spec.fault.drop = true;
+      spec.fault.policy = fault::FaultPolicy::kDrop;
       // Saturation probe: accepted rate only, tight warmup, no drain.
       spec.steady.maxWarmupWindows = std::min(spec.steady.maxWarmupWindows, 8u);
       spec.steady.measureWindow = std::min<Tick>(spec.steady.measureWindow, 3000);

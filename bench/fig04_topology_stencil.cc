@@ -153,10 +153,12 @@ int main(int argc, char** argv) {
     for (std::size_t m = 0; m < modes.size(); ++m) {
       const CellResult& cell = cellResults[ci * modes.size() + m];
       r[m] = cell.stencil.makespan;
-      perf.add({candidates[ci].name + "/" + modes[m].first, 0.0, false, cell.wallSeconds,
-                cell.events, cell.wallSeconds > 0.0
-                                 ? static_cast<double>(cell.events) / cell.wallSeconds
-                                 : 0.0});
+      perf.add({.series = candidates[ci].name + "/" + modes[m].first,
+                .wallSeconds = cell.wallSeconds,
+                .events = cell.events,
+                .eventsPerSec = cell.wallSeconds > 0.0
+                                    ? static_cast<double>(cell.events) / cell.wallSeconds
+                                    : 0.0});
     }
     results.push_back(r);
   }

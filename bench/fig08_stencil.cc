@@ -14,41 +14,15 @@
 #include "bench_common.h"
 #include "harness/table.h"
 
-namespace {
-
-hxwar::app::StencilConfig stencilConfigFor(const hxwar::harness::ExperimentConfig& base,
-                                           std::uint64_t haloBytes, std::uint32_t iterations,
-                                           hxwar::app::StencilMode mode, std::uint64_t seed) {
-  hxwar::app::StencilConfig sc;
-  // Process grid = one process per node; grid shaped like the router grid
-  // scaled by terminals (e.g. 4x4x4 routers x 4 terminals -> 8x8x4 procs).
-  const std::uint32_t k = base.terminalsPerRouter;
-  sc.grid = {base.widths[0] * (k >= 2 ? 2 : 1),
-             base.widths[1] * (k >= 4 ? 2 : 1),
-             base.widths[2] * (k >= 8 ? 2 : 1)};
-  sc.haloBytesPerNode = haloBytes;
-  sc.iterations = iterations;
-  sc.mode = mode;
-  sc.seed = seed;
-  return sc;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hxwar;
   using namespace hxwar::bench;
   Flags flags;
   flags.parse(argc, argv);
   auto opts = parseBenchOptions(argc, argv, {});
+  if (!requireSerialPoints(opts)) return 1;
   printHeader("Figure 8", "27-point stencil execution time (cycles, lower is better)", opts);
 
-  // The paper sends 100 kB per node per halo on 4,096 nodes; scale the
-  // default with node count so the small preset finishes quickly.
-  const std::uint32_t nodes = opts.base.widths[0] * opts.base.widths[1] *
-                              opts.base.widths[2] * opts.base.terminalsPerRouter;
-  const std::uint64_t defaultHaloKb = nodes >= 4096 ? 100 : 48;
-  const std::uint64_t haloBytes = flags.u64("halo-kb", defaultHaloKb) * 1024;
   const auto iterList = flags.f64List("iterations-list", {1, 4});
   const std::string phaseArg = flags.str("phase", "all");
 
@@ -69,12 +43,30 @@ int main(int argc, char** argv) {
     for (const double itD : iterList) {
       const auto iterations = static_cast<std::uint32_t>(itD);
       for (const auto& algorithm : opts.algorithms) {
-        harness::ExperimentConfig cfg = opts.base;
-        cfg.algorithm = algorithm;
-        harness::Experiment exp(cfg);
-        app::StencilApp stencil(
-            exp.network(),
-            stencilConfigFor(cfg, haloBytes, iterations, mode, opts.seed));
+        harness::ExperimentSpec spec = opts.spec;
+        spec.routing = algorithm;
+        harness::Experiment exp(spec);
+        const topo::HyperX& topo = exp.hyperx();
+        if (topo.numDims() != 3) {
+          std::fprintf(stderr, "fig08_stencil: the stencil's process grid needs a 3-D "
+                               "HyperX, got %s\n", topo.name().c_str());
+          return 1;
+        }
+        app::StencilConfig sc;
+        // Process grid = one process per node; grid shaped like the router
+        // grid scaled by terminals (e.g. 4x4x4 routers x 4 terminals -> 8x8x4
+        // procs).
+        const std::uint32_t k = topo.terminalsPerRouter();
+        sc.grid = {topo.width(0) * (k >= 2 ? 2 : 1), topo.width(1) * (k >= 4 ? 2 : 1),
+                   topo.width(2) * (k >= 8 ? 2 : 1)};
+        // The paper sends 100 kB per node per halo on 4,096 nodes; scale the
+        // default with node count so the small preset finishes quickly.
+        const std::uint64_t defaultHaloKb = topo.numNodes() >= 4096 ? 100 : 48;
+        sc.haloBytesPerNode = flags.u64("halo-kb", defaultHaloKb) * 1024;
+        sc.iterations = iterations;
+        sc.mode = mode;
+        sc.seed = opts.seed;
+        app::StencilApp stencil(exp.network(), sc);
         const auto r = stencil.run();
         table.addRow({algorithm, std::to_string(iterations),
                       std::to_string(r.makespan),

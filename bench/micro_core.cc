@@ -420,7 +420,7 @@ FaultEscapeRow timeFaultEscape() {
 }
 
 net::NetworkConfig paperNetConfig() {
-  // Mirrors harness::paperScaleConfig() (experiment.cc) without pulling the
+  // Mirrors harness::scaleSpec("paper") (spec.cc) without pulling the
   // harness library into the bench.
   net::NetworkConfig cfg;
   cfg.channelLatencyRouter = 50;

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
   auto opts = parseBenchOptions(argc, argv, {});
+  if (!requireSerialPoints(opts)) return 1;
   printHeader("Section 3.2", "Irregular workloads: localized small job vs. background job",
               opts);
 
@@ -64,9 +65,9 @@ int main(int argc, char** argv) {
   harness::Table table({"algorithm", "bg lat mean", "bg lat p99", "bg accepted/offered",
                         "hot-job lat", "deroutes/pkt"});
   for (const auto& algorithm : opts.algorithms) {
-    harness::ExperimentConfig cfg = opts.base;
-    cfg.algorithm = algorithm;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = opts.spec;
+    spec.routing = algorithm;
+    harness::Experiment exp(spec);
     const auto& topo = exp.hyperx();
 
     // Partition nodes: the small job owns every terminal whose router has
@@ -85,13 +86,13 @@ int main(int argc, char** argv) {
     SubsetUniform hotPattern(hotNodes);
     traffic::UniformRandom bgPattern(exp.network().numNodes());
 
-    traffic::SyntheticInjector::Params hotParams = cfg.injection;
+    traffic::SyntheticInjector::Params hotParams = spec.injection;
     hotParams.rate = hotLoad;
     hotParams.nodeMask = hotMask;
-    hotParams.seed = cfg.injection.seed + 1;
+    hotParams.seed = spec.injection.seed + 1;
     traffic::SyntheticInjector hotInj(exp.sim(), exp.network(), hotPattern, hotParams);
 
-    traffic::SyntheticInjector::Params bgParams = cfg.injection;
+    traffic::SyntheticInjector::Params bgParams = spec.injection;
     bgParams.rate = bgLoad;
     bgParams.nodeMask = bgMask;
     traffic::SyntheticInjector bgInj(exp.sim(), exp.network(), bgPattern, bgParams);

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
   auto opts = parseBenchOptions(argc, argv, {});
+  if (!requireSerialPoints(opts)) return 1;
   printHeader("Transient response", "Latency recovery after a UR -> URBy pattern switch",
               opts);
 
@@ -43,11 +44,11 @@ int main(int argc, char** argv) {
   harness::Table table(headers);
 
   for (const auto& algorithm : opts.algorithms) {
-    harness::ExperimentConfig cfg = opts.base;
-    cfg.algorithm = algorithm;
-    cfg.pattern = fromName;
-    cfg.injection.rate = load;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = opts.spec;
+    spec.routing = algorithm;
+    spec.pattern = fromName;
+    spec.injection.rate = load;
+    harness::Experiment exp(spec);
     auto toPattern = traffic::makePattern(toName, exp.hyperx());
 
     metrics::StreamingStats windowLat;

@@ -4,15 +4,14 @@
 // workload against DimWAR/OmniWAR without touching library code.
 //
 // Usage: custom_pattern [--scale=small] [--shift=1] [--loads=0.1,0.3,0.5]
+#include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <string>
 
 #include "common/flags.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "metrics/steady_state.h"
-#include "net/network.h"
-#include "routing/hyperx_routing.h"
 #include "traffic/injector.h"
 #include "traffic/pattern.h"
 
@@ -52,26 +51,27 @@ class DiagonalShift final : public traffic::TrafficPattern {
 int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
-  const auto base = harness::scaleConfig(flags.str("scale", "small"));
+  harness::ExperimentSpec spec = harness::scaleSpec(flags.str("scale", "small"));
   const auto shift = static_cast<std::uint32_t>(flags.u64("shift", 1));
   const auto loads = flags.f64List("loads", {0.2, 0.4, 0.6});
 
-  std::printf("Custom pattern demo: diagonal +%u shift on %ux%ux%u HyperX\n\n", shift,
-              base.widths[0], base.widths[1], base.widths[2]);
+  std::string shape = spec.params.at("widths");  // e.g. "4,4,4" -> "4x4x4"
+  std::replace(shape.begin(), shape.end(), ',', 'x');
+  std::printf("Custom pattern demo: diagonal +%u shift on %s HyperX\n\n", shift,
+              shape.c_str());
 
   harness::Table table({"algorithm", "offered", "accepted", "lat_mean", "deroutes", "state"});
   for (const char* algorithm : {"dor", "ugal", "dimwar", "omniwar"}) {
     for (const double load : loads) {
-      // Assemble the pieces by hand to show the public API end to end.
-      sim::Simulator sim;
-      topo::HyperX topo({base.widths, base.terminalsPerRouter});
-      auto routing = routing::makeHyperXRouting(algorithm, topo, base.routingOpts);
-      net::Network network(sim, topo, *routing, base.net);
-      DiagonalShift pattern(topo, shift);
-      traffic::SyntheticInjector::Params inj = base.injection;
+      // The harness builds the network; the custom pattern drives it through
+      // a plain SyntheticInjector (the experiment's own injector stays idle).
+      spec.routing = algorithm;
+      harness::Experiment exp(spec);
+      DiagonalShift pattern(exp.hyperx(), shift);
+      traffic::SyntheticInjector::Params inj = spec.injection;
       inj.rate = load;
-      traffic::SyntheticInjector injector(sim, network, pattern, inj);
-      const auto r = metrics::runSteadyState(sim, network, injector, base.steady);
+      traffic::SyntheticInjector injector(exp.sim(), exp.network(), pattern, inj);
+      const auto r = metrics::runSteadyState(exp.sim(), exp.network(), injector, spec.steady);
       table.addRow({algorithm, harness::Table::pct(load), harness::Table::pct(r.accepted),
                     r.saturated ? "-" : harness::Table::num(r.latencyMean, 1),
                     harness::Table::num(r.avgDeroutes, 3),

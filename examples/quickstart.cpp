@@ -14,18 +14,18 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
 
-  harness::ExperimentConfig cfg = harness::scaleConfig(flags.str("scale", "small"));
-  cfg.algorithm = flags.str("algorithm", "dimwar");
-  cfg.pattern = flags.str("pattern", "ur");
-  cfg.injection.rate = flags.f64("load", 0.3);
-  cfg.injection.seed = flags.u64("seed", 7);
+  harness::ExperimentSpec spec = harness::scaleSpec(flags.str("scale", "small"));
+  spec.routing = flags.str("algorithm", "dimwar");
+  spec.pattern = flags.str("pattern", "ur");
+  spec.injection.rate = flags.f64("load", 0.3);
+  spec.injection.seed = flags.u64("seed", 7);
 
-  harness::Experiment exp(cfg);
+  harness::Experiment exp(spec);
   std::printf("topology : %s (%u routers, %u nodes)\n", exp.hyperx().name().c_str(),
               exp.network().numRouters(), exp.network().numNodes());
   std::printf("routing  : %s\n", exp.routing().info().name.c_str());
-  std::printf("pattern  : %s, offered load %.2f flits/node/cycle\n\n", cfg.pattern.c_str(),
-              cfg.injection.rate);
+  std::printf("pattern  : %s, offered load %.2f flits/node/cycle\n\n", spec.pattern.c_str(),
+              spec.injection.rate);
 
   const metrics::SteadyStateResult r = exp.run();
 

@@ -18,15 +18,21 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.parse(argc, argv);
 
-  harness::ExperimentConfig netCfg = harness::scaleConfig(flags.str("scale", "small"));
-  netCfg.algorithm = flags.str("algorithm", "omniwar");
-  harness::Experiment exp(netCfg);
+  harness::ExperimentSpec spec = harness::scaleSpec(flags.str("scale", "small"));
+  spec.routing = flags.str("algorithm", "omniwar");
+  harness::Experiment exp(spec);
+  const topo::HyperX& topo = exp.hyperx();
+  if (topo.numDims() != 3) {
+    std::fprintf(stderr, "stencil_app: the process grid needs a 3-D HyperX, got %s\n",
+                 topo.name().c_str());
+    return 1;
+  }
 
   app::StencilConfig sc;
   // One process per node: spread the router grid across process-grid dims.
-  const std::uint32_t k = netCfg.terminalsPerRouter;
-  sc.grid = {netCfg.widths[0] * (k >= 2 ? 2 : 1), netCfg.widths[1] * (k >= 4 ? 2 : 1),
-             netCfg.widths[2] * (k >= 8 ? 2 : 1)};
+  const std::uint32_t k = topo.terminalsPerRouter();
+  sc.grid = {topo.width(0) * (k >= 2 ? 2 : 1), topo.width(1) * (k >= 4 ? 2 : 1),
+             topo.width(2) * (k >= 8 ? 2 : 1)};
   sc.haloBytesPerNode = flags.u64("halo-kb", 48) * 1024;
   sc.iterations = static_cast<std::uint32_t>(flags.u64("iterations", 2));
   sc.mode = app::stencilModeFromString(flags.str("mode", "full"));
@@ -34,7 +40,7 @@ int main(int argc, char** argv) {
   sc.collectiveBytes = static_cast<std::uint32_t>(flags.u64("collective-bytes", 64));
   sc.seed = flags.u64("seed", 21);
 
-  std::printf("27-point stencil on %s with %s routing\n", exp.hyperx().name().c_str(),
+  std::printf("27-point stencil on %s with %s routing\n", topo.name().c_str(),
               exp.routing().info().name.c_str());
   std::printf("process grid %ux%ux%u, halo %llu kB/node, %u iteration(s), %s placement\n\n",
               sc.grid[0], sc.grid[1], sc.grid[2],

@@ -41,18 +41,13 @@ struct FaultSpec {
   std::string routers;         // explicit "r,r,..." failed routers
   Tick at = kTickInvalid;      // transient: cycle the faults strike
   Tick until = kTickInvalid;   // transient: cycle the channels revive
-  // Legacy dead-end switch (--fault-drop=true), kept so PR 3 specs parse and
-  // serialize unchanged; it is folded into `policy` by effectivePolicy().
-  bool drop = false;
   // Graceful-degradation ladder selector (--fault-policy); see
-  // fault/fault_policy.h. kAbort + drop=true means the legacy drop mode.
+  // fault/fault_policy.h.
   FaultPolicy policy = FaultPolicy::kAbort;
 
   bool active() const { return rate > 0.0 || !links.empty() || !routers.empty(); }
   bool transient() const { return at != kTickInvalid; }
-  FaultPolicy effectivePolicy() const {
-    return (policy == FaultPolicy::kAbort && drop) ? FaultPolicy::kDrop : policy;
-  }
+  FaultPolicy effectivePolicy() const { return policy; }
   bool toleratesPartition() const {
     return faultPolicyToleratesPartition(effectivePolicy());
   }

@@ -7,7 +7,7 @@
 //   abort  — the point fails loudly (hxwar::Error via the deferred-fatal
 //            slot). Default: a non-fault-aware algorithm on a degraded
 //            network is a configuration error, not data.
-//   drop   — drop-and-count with credit return (the old --fault-drop=true).
+//   drop   — drop-and-count with credit return.
 //   retry  — bounded in-place retry with exponential backoff: the packet
 //            stays queued and the route is recomputed against the *live*
 //            mask each attempt (a transient fault may have revived the

@@ -11,93 +11,6 @@
 
 namespace hxwar::harness {
 
-ExperimentSpec ExperimentConfig::toSpec() const {
-  ExperimentSpec spec;
-  spec.topology = "hyperx";
-  spec.routing = algorithm;
-  spec.pattern = pattern;
-  spec.net = net;
-  spec.injection = injection;
-  spec.steady = steady;
-  std::string w;
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    if (i > 0) w += ',';
-    w += std::to_string(widths[i]);
-  }
-  spec.params["widths"] = w;
-  spec.params["terminals"] = std::to_string(terminalsPerRouter);
-  spec.params["ugal-bias"] = formatDouble(routingOpts.ugalBias);
-  if (routingOpts.omniDeroutes != routing::HyperXRoutingOptions::kOmniDeroutesDefault) {
-    spec.params["omni-deroutes"] = std::to_string(routingOpts.omniDeroutes);
-  }
-  if (!routingOpts.omniRestrictBackToBack) spec.params["omni-restrict-b2b"] = "false";
-  return spec;
-}
-
-ExperimentConfig smallScaleConfig() {
-  ExperimentConfig c;
-  c.widths = {4, 4, 4};
-  c.terminalsPerRouter = 4;
-  c.net.channelLatencyRouter = 8;
-  c.net.channelLatencyTerminal = 1;
-  c.net.router.numVcs = 8;
-  c.net.router.inputBufferDepth = 48;  // > credit round trip (2*8 + pipeline) + max packet
-  c.net.router.outputQueueDepth = 32;
-  c.net.router.crossbarLatency = 4;
-  c.net.router.inputSpeedup = 4;
-  c.steady.warmupWindow = 1000;
-  c.steady.maxWarmupWindows = 18;
-  c.steady.measureWindow = 3000;
-  c.steady.drainWindow = 8000;
-  return c;
-}
-
-ExperimentConfig tinyScaleConfig() {
-  ExperimentConfig c;
-  c.widths = {3, 3};
-  c.terminalsPerRouter = 2;
-  c.net.channelLatencyRouter = 4;
-  c.net.channelLatencyTerminal = 1;
-  c.net.router.numVcs = 8;
-  c.net.router.inputBufferDepth = 12;
-  c.net.router.outputQueueDepth = 4;
-  c.net.router.crossbarLatency = 2;
-  c.steady.warmupWindow = 500;
-  c.steady.maxWarmupWindows = 30;
-  c.steady.measureWindow = 2000;
-  c.steady.drainWindow = 10000;
-  return c;
-}
-
-ExperimentConfig paperScaleConfig() {
-  // The paper's 4,096-node 3D HyperX: 8x8x8, 8 terminals per router, 8 VCs,
-  // 50 ns (= 50 cycle) router-to-router channels and crossbar, 5 ns terminal
-  // channels, buffering beyond the credit round trip.
-  ExperimentConfig c;
-  c.widths = {8, 8, 8};
-  c.terminalsPerRouter = 8;
-  c.net.channelLatencyRouter = 50;
-  c.net.channelLatencyTerminal = 5;
-  c.net.router.numVcs = 8;
-  c.net.router.inputBufferDepth = 160;  // credit RTT ~ 2*50 + pipeline, plus a packet
-  c.net.router.outputQueueDepth = 32;
-  c.net.router.crossbarLatency = 50;
-  c.net.router.inputSpeedup = 4;
-  c.steady.warmupWindow = 5000;
-  c.steady.maxWarmupWindows = 60;
-  c.steady.measureWindow = 20000;
-  c.steady.drainWindow = 100000;
-  return c;
-}
-
-ExperimentConfig scaleConfig(const std::string& name) {
-  if (name == "tiny") return tinyScaleConfig();
-  if (name == "small") return smallScaleConfig();
-  if (name == "paper") return paperScaleConfig();
-  HXWAR_CHECK_MSG(false, ("unknown scale preset: " + name).c_str());
-  return smallScaleConfig();
-}
-
 Experiment::Experiment(const ExperimentSpec& spec) : spec_(spec) {
   auto& registry = ExperimentRegistry::instance();
   const Flags params = spec_.paramFlags();
@@ -368,38 +281,20 @@ metrics::SteadyStateResult Experiment::run() {
   return result;
 }
 
-namespace {
-
 // Expand (base seed, point index) into independent injector/network seeds.
 // The index — never a thread id or completion order — keys the streams, so
-// serial and parallel execution of the same grid are bit-identical. Shared by
-// the spec and config overloads so both derive identical seeds.
-void deriveSweepSeeds(std::uint64_t baseSeed, std::size_t index,
-                      std::uint64_t& injectionSeed, std::uint64_t& netSeed) {
-  SplitMix64 mix(baseSeed ^
-                 (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(index) + 1)));
-  injectionSeed = mix.next();
-  netSeed = mix.next();
-}
-
-}  // namespace
-
+// serial and parallel execution of the same grid are bit-identical.
 ExperimentSpec sweepPointConfig(const ExperimentSpec& base, double load,
                                 std::size_t index) {
   ExperimentSpec spec = base;
   spec.injection.rate = load;
-  deriveSweepSeeds(base.injection.seed, index, spec.injection.seed, spec.net.rngSeed);
+  SplitMix64 mix(base.injection.seed ^
+                 (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(index) + 1)));
+  spec.injection.seed = mix.next();
+  spec.net.rngSeed = mix.next();
   // spec.fault.seed (like patternSeed) is deliberately NOT re-derived: every
   // point of a sweep measures the same degraded network.
   return spec;
-}
-
-ExperimentConfig sweepPointConfig(const ExperimentConfig& base, double load,
-                                  std::size_t index) {
-  ExperimentConfig cfg = base;
-  cfg.injection.rate = load;
-  deriveSweepSeeds(base.injection.seed, index, cfg.injection.seed, cfg.net.rngSeed);
-  return cfg;
 }
 
 namespace {
@@ -462,10 +357,6 @@ SweepPoint runSweepPoint(const ExperimentSpec& base, double load, std::size_t in
   }
 }
 
-SweepPoint runSweepPoint(const ExperimentConfig& base, double load, std::size_t index) {
-  return runSweepPoint(base.toSpec(), load, index);
-}
-
 std::vector<SweepPoint> loadLatencySweep(const ExperimentSpec& base,
                                          const std::vector<double>& loads,
                                          bool stopAtSaturation) {
@@ -479,12 +370,6 @@ std::vector<SweepPoint> loadLatencySweep(const ExperimentSpec& base,
   return points;
 }
 
-std::vector<SweepPoint> loadLatencySweep(const ExperimentConfig& base,
-                                         const std::vector<double>& loads,
-                                         bool stopAtSaturation) {
-  return loadLatencySweep(base.toSpec(), loads, stopAtSaturation);
-}
-
 double saturationThroughput(const ExperimentSpec& base, double offered) {
   ExperimentSpec spec = base;
   spec.injection.rate = offered;
@@ -492,10 +377,6 @@ double saturationThroughput(const ExperimentSpec& base, double offered) {
   // measurement window is the steady-state throughput.
   Experiment exp(spec);
   return exp.run().accepted;
-}
-
-double saturationThroughput(const ExperimentConfig& base, double offered) {
-  return saturationThroughput(base.toSpec(), offered);
 }
 
 std::vector<double> loadGrid(double step, double max) {

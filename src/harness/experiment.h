@@ -1,8 +1,8 @@
 // Experiment harness: wires a simulator, a registry-built topology, routing
-// algorithm, network, traffic pattern, and injector into one owned bundle,
-// with the scale presets used by the benches. Works for every registered
-// topology family (see harness/registry.h); ExperimentConfig remains as the
-// HyperX-specific preset surface and converts via toSpec().
+// algorithm, network, traffic pattern, and injector into one owned bundle.
+// Every run is described by an ExperimentSpec (harness/spec.h), for every
+// registered topology family (see harness/registry.h); scaleSpec() names the
+// HyperX presets the benches start from.
 #pragma once
 
 #include <memory>
@@ -29,32 +29,6 @@
 
 namespace hxwar::harness {
 
-struct ExperimentConfig {
-  std::vector<std::uint32_t> widths = {4, 4, 4};
-  std::uint32_t terminalsPerRouter = 4;
-  std::string algorithm = "dimwar";
-  std::string pattern = "ur";
-  routing::HyperXRoutingOptions routingOpts;
-  net::NetworkConfig net;
-  traffic::SyntheticInjector::Params injection;
-  metrics::SteadyStateConfig steady;
-
-  // Equivalent topology-agnostic spec: widths/terminals/routingOpts become
-  // construction params, the structured sub-configs copy over verbatim (so a
-  // converted spec simulates bit-identically to the config it came from).
-  ExperimentSpec toSpec() const;
-};
-
-// Scale presets.
-//   small: 4x4x4, K=4 (256 nodes), short channels — default for benches/tests
-//   tiny:  3x3, K=2 (18 nodes) — unit/property tests
-//   paper: 8x8x8, K=8 (4,096 nodes), 50-cycle channels — the paper's system
-ExperimentConfig smallScaleConfig();
-ExperimentConfig tinyScaleConfig();
-ExperimentConfig paperScaleConfig();
-// Lookup by name ("tiny", "small", "paper").
-ExperimentConfig scaleConfig(const std::string& name);
-
 // One self-contained simulation instance. Construct fresh per data point so
 // measurements never leak state across points.
 //
@@ -66,7 +40,6 @@ ExperimentConfig scaleConfig(const std::string& name);
 class Experiment {
  public:
   explicit Experiment(const ExperimentSpec& spec);
-  explicit Experiment(const ExperimentConfig& config) : Experiment(config.toSpec()) {}
 
   // The control simulator: the only simulator when pointJobs == 1, the
   // sampler/fault-controller host otherwise. Network components live in the
@@ -189,27 +162,19 @@ struct SweepPoint {
 
 // Derives the per-point configuration for point `index` at `load`. Seeds are
 // expanded from (base seed, point index) only — never from thread identity or
-// execution order — so a sweep replays identically at any parallelism. The
-// two overloads use the same derivation, so config and spec paths agree.
+// execution order — so a sweep replays identically at any parallelism.
 ExperimentSpec sweepPointConfig(const ExperimentSpec& base, double load,
                                 std::size_t index);
-ExperimentConfig sweepPointConfig(const ExperimentConfig& base, double load,
-                                  std::size_t index);
 
 // Builds and runs one sweep point, recording wall time and event throughput.
 SweepPoint runSweepPoint(const ExperimentSpec& base, double load, std::size_t index);
-SweepPoint runSweepPoint(const ExperimentConfig& base, double load, std::size_t index);
 
 std::vector<SweepPoint> loadLatencySweep(const ExperimentSpec& base,
-                                         const std::vector<double>& loads,
-                                         bool stopAtSaturation = true);
-std::vector<SweepPoint> loadLatencySweep(const ExperimentConfig& base,
                                          const std::vector<double>& loads,
                                          bool stopAtSaturation = true);
 
 // Accepted throughput at (near-)full offered load — the Fig. 6g metric.
 double saturationThroughput(const ExperimentSpec& base, double offered = 1.0);
-double saturationThroughput(const ExperimentConfig& base, double offered = 1.0);
 
 // Uniform load grid [step, step*2, ..., <= max].
 std::vector<double> loadGrid(double step, double max);

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/assert.h"
-#include "harness/experiment.h"
 
 namespace hxwar::harness {
 
@@ -40,7 +39,7 @@ const std::set<std::string>& structuredKeys() {
       "min-measure-packets",
       // fault injection
       "fault-rate", "fault-seed", "fault-links", "fault-routers", "fault-at",
-      "fault-until", "fault-drop", "fault-policy",
+      "fault-until", "fault-policy",
       // front-end operational keys, never part of an experiment's identity
       "loads", "csv", "jobs", "point-jobs", "perf-json", "experiment", "config",
       "scale", "algorithms", "list",
@@ -127,7 +126,6 @@ fault::FaultSpec faultSpecFromFlags(const Flags& flags, fault::FaultSpec d) {
   if (flags.has("fault-routers")) d.routers = flags.str("fault-routers", d.routers);
   if (flags.has("fault-at")) d.at = flags.u64("fault-at", d.at);
   if (flags.has("fault-until")) d.until = flags.u64("fault-until", d.until);
-  d.drop = flags.b("fault-drop", d.drop);
   if (flags.has("fault-policy")) {
     const std::string name = flags.str("fault-policy", "abort");
     HXWAR_CHECK_MSG(
@@ -245,9 +243,8 @@ std::string ExperimentSpec::serialize() const {
     if (!fault.routers.empty()) out << "fault-routers = " << fault.routers << "\n";
     if (fault.at != kTickInvalid) out << "fault-at = " << fault.at << "\n";
     if (fault.until != kTickInvalid) out << "fault-until = " << fault.until << "\n";
-    if (fault.drop) out << "fault-drop = true\n";
-    // The policy line appears only when set, so pre-ladder spec text (and
-    // legacy --fault-drop specs) round-trips byte-identically.
+    // The policy line appears only when set, so pre-ladder spec text
+    // round-trips byte-identically.
     if (fault.policy != fault::FaultPolicy::kAbort) {
       out << "fault-policy = " << fault::faultPolicyName(fault.policy) << "\n";
     }
@@ -258,6 +255,73 @@ std::string ExperimentSpec::serialize() const {
   return out.str();
 }
 
-ExperimentSpec scaleSpec(const std::string& name) { return scaleConfig(name).toSpec(); }
+namespace {
+
+// A HyperX preset starts from the raw component defaults, not from the builder
+// defaults ExperimentSpec() installs: a preset names every knob it changes,
+// and the tiny preset keeps the router's default 2x input speedup.
+ExperimentSpec hyperxPreset(const std::string& widths, std::uint32_t terminals) {
+  ExperimentSpec spec;
+  spec.routing = "dimwar";
+  spec.net = net::NetworkConfig{};
+  spec.steady = metrics::SteadyStateConfig{};
+  spec.params["widths"] = widths;
+  spec.params["terminals"] = std::to_string(terminals);
+  spec.params["ugal-bias"] = "1";
+  return spec;
+}
+
+}  // namespace
+
+ExperimentSpec scaleSpec(const std::string& name) {
+  if (name == "tiny") {
+    // 3x3, K=2 (18 nodes): unit and property tests.
+    ExperimentSpec spec = hyperxPreset("3,3", 2);
+    spec.net.channelLatencyRouter = 4;
+    spec.net.channelLatencyTerminal = 1;
+    spec.net.router.numVcs = 8;
+    spec.net.router.inputBufferDepth = 12;
+    spec.net.router.outputQueueDepth = 4;
+    spec.net.router.crossbarLatency = 2;
+    spec.steady.warmupWindow = 500;
+    spec.steady.maxWarmupWindows = 30;
+    spec.steady.measureWindow = 2000;
+    spec.steady.drainWindow = 10000;
+    return spec;
+  }
+  if (name == "small") {
+    // 4x4x4, K=4 (256 nodes), short channels: the default for benches and tests.
+    ExperimentSpec spec = hyperxPreset("4,4,4", 4);
+    spec.net.channelLatencyRouter = 8;
+    spec.net.channelLatencyTerminal = 1;
+    spec.net.router.numVcs = 8;
+    spec.net.router.inputBufferDepth = 48;  // > credit round trip (2*8 + pipeline) + max packet
+    spec.net.router.outputQueueDepth = 32;
+    spec.net.router.crossbarLatency = 4;
+    spec.net.router.inputSpeedup = 4;
+    spec.steady.warmupWindow = 1000;
+    spec.steady.maxWarmupWindows = 18;
+    spec.steady.measureWindow = 3000;
+    spec.steady.drainWindow = 8000;
+    return spec;
+  }
+  HXWAR_CHECK_MSG(name == "paper", ("unknown scale preset: " + name).c_str());
+  // The paper's 4,096-node 3D HyperX: 8x8x8, 8 terminals per router, 8 VCs,
+  // 50 ns (= 50 cycle) router-to-router channels and crossbar, 5 ns terminal
+  // channels, buffering beyond the credit round trip.
+  ExperimentSpec spec = hyperxPreset("8,8,8", 8);
+  spec.net.channelLatencyRouter = 50;
+  spec.net.channelLatencyTerminal = 5;
+  spec.net.router.numVcs = 8;
+  spec.net.router.inputBufferDepth = 160;  // credit RTT ~ 2*50 + pipeline, plus a packet
+  spec.net.router.outputQueueDepth = 32;
+  spec.net.router.crossbarLatency = 50;
+  spec.net.router.inputSpeedup = 4;
+  spec.steady.warmupWindow = 5000;
+  spec.steady.maxWarmupWindows = 60;
+  spec.steady.measureWindow = 20000;
+  spec.steady.drainWindow = 100000;
+  return spec;
+}
 
 }  // namespace hxwar::harness

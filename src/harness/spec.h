@@ -4,10 +4,10 @@
 // parameters those factories read, and the structured network / injection /
 // steady-state configuration.
 //
-// A spec can be built three ways, all equivalent:
-//   * programmatically (set fields, put construction keys into `params`),
-//   * from command-line flags or a `key = value` config file (fromFlags),
-//   * from a legacy HyperX ExperimentConfig (ExperimentConfig::toSpec()).
+// A spec can be built two ways, both equivalent:
+//   * programmatically (start from ExperimentSpec() or a scaleSpec() preset,
+//     set fields, put construction keys into `params`),
+//   * from command-line flags or a `key = value` config file (fromFlags).
 //
 // serialize() emits the flag-backed surface as config-file text, so
 //   Flags f; f.loadFile(path); ExperimentSpec::fromFlags(f)
@@ -30,7 +30,7 @@
 namespace hxwar::harness {
 
 // Shortest decimal text that parses back to exactly the same double — used
-// wherever a double crosses the string boundary (serialize, toSpec) so a
+// wherever a double crosses the string boundary (serialize) so a
 // round-tripped spec simulates bit-identically.
 std::string formatDouble(double v);
 
@@ -106,8 +106,12 @@ struct ExperimentSpec {
   std::string serialize() const;
 };
 
-// Scale presets by name ("tiny", "small", "paper") as specs — the HyperX
-// presets of experiment.h routed through the unified layer.
+// HyperX scale presets by name; an unknown name aborts.
+//   tiny:  3x3, K=2 (18 nodes) — unit/property tests
+//   small: 4x4x4, K=4 (256 nodes), short channels — default for benches/tests
+//   paper: 8x8x8, K=8 (4,096 nodes), 50-cycle channels — the paper's system
+// Each starts from the raw net::NetworkConfig / metrics::SteadyStateConfig
+// defaults, not from ExperimentSpec()'s builder defaults, with DimWAR on UR.
 ExperimentSpec scaleSpec(const std::string& name);
 
 }  // namespace hxwar::harness

@@ -55,18 +55,6 @@ std::vector<SweepPoint> runLoadSweep(const ExperimentSpec& base,
   return runLoadSweep(base, loads, options, &pool);
 }
 
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig& base,
-                                     const std::vector<double>& loads,
-                                     const SweepOptions& options) {
-  return runLoadSweep(base.toSpec(), loads, options);
-}
-
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig& base,
-                                     const std::vector<double>& loads,
-                                     const SweepOptions& options, ThreadPool* pool) {
-  return runLoadSweep(base.toSpec(), loads, options, pool);
-}
-
 std::vector<SweepPoint> runLoadSweep(const ExperimentSpec& base,
                                      const std::vector<double>& loads,
                                      const SweepOptions& options, ThreadPool* pool) {

@@ -46,14 +46,6 @@ std::vector<SweepPoint> runLoadSweep(const ExperimentSpec& base,
                                      const std::vector<double>& loads,
                                      const SweepOptions& options, ThreadPool* pool);
 
-// Legacy HyperX-config entry points; equivalent to runLoadSweep(base.toSpec()).
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig& base,
-                                     const std::vector<double>& loads,
-                                     const SweepOptions& options);
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig& base,
-                                     const std::vector<double>& loads,
-                                     const SweepOptions& options, ThreadPool* pool);
-
 // Accumulates per-point perf telemetry across a bench run and writes the
 // BENCH_sweep.json trajectory file consumed by cross-PR perf tracking.
 class SweepPerfLog {
@@ -71,7 +63,7 @@ class SweepPerfLog {
     // text in `message` — failed points stay in the perf log as attributed
     // rows rather than vanishing.
     std::string status = "ok";
-    std::string message;
+    std::string message = {};
   };
 
   void add(const std::string& series, const SweepPoint& point);

@@ -62,7 +62,7 @@ struct SteadyStateResult {
   std::uint64_t packetsMeasured = 0;
   Tick warmupCycles = 0;
   // --- resilience metrics (nonzero only on faulted networks) ---
-  // Marked packets dropped at fault dead ends (--fault-drop policy).
+  // Marked packets dropped at fault dead ends (any --fault-policy but abort).
   std::uint64_t packetsDropped = 0;
   // packetsDropped / marked packets created: the delivered-vs-dropped split.
   double droppedShare = 0.0;

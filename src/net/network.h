@@ -171,7 +171,7 @@ class Network {
   // Packets live in per-lane pool slabs and are addressed by 4-byte
   // PacketRef slot ids whose top bits name the owning lane; flits and source
   // queues carry refs, and resolve them here.
-  PacketPool& pool() { return *poolTable_[0]; }
+  PacketPool& pool(std::uint32_t lane = 0) { return *poolTable_[lane]; }
   Packet& packet(PacketRef ref) {
     return poolTable_[ref >> PacketPool::kLaneShift]->get(ref);
   }

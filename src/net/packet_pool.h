@@ -7,6 +7,13 @@
 // addresses never move, so `Packet&` resolved from a ref stays valid across
 // later growth; flits and source queues carry the 4-byte ref.
 //
+// The chunk table is a fixed directory of lazily allocated pages of chunk
+// pointers. Growth only writes entries no ref resolves through yet and never
+// moves an existing one, so another lane's worker may resolve refs it was
+// handed while the owning worker grows the pool (a growable vector of chunk
+// pointers would reallocate under that reader). The directory costs 2 KiB per
+// lane, each page 2 KiB per 256 chunks.
+//
 // Recycling reuses slots LIFO (the hottest slot first). A slot's ref is
 // stable across recycle — the same slot hands out the same ref to its next
 // tenant — and alloc() fully resets the record, so no state leaks between
@@ -20,6 +27,7 @@
 // the lane bits stay disjoint.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,15 +54,18 @@ class PacketPool {
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
+  // Reads only table entries written before `ref` was handed out, never
+  // slots_: another lane's worker may call this while the owner grows the pool.
   Packet& get(PacketRef ref) {
-    HXWAR_DCHECK(ref - refBase_ < slots_);
     const PacketRef local = ref - refBase_;
-    return chunks_[local >> kChunkShift][local & (kChunkSize - 1)];
+    HXWAR_DCHECK(local < kLaneSpan && pages_[local >> kPageShift] != nullptr);
+    Packet* chunk =
+        (*pages_[local >> kPageShift])[(local >> kChunkShift) & (kPageChunks - 1)].get();
+    HXWAR_DCHECK(chunk != nullptr);
+    return chunk[local & (kChunkSize - 1)];
   }
   const Packet& get(PacketRef ref) const {
-    HXWAR_DCHECK(ref - refBase_ < slots_);
-    const PacketRef local = ref - refBase_;
-    return chunks_[local >> kChunkShift][local & (kChunkSize - 1)];
+    return const_cast<PacketPool*>(this)->get(ref);
   }
 
   // Hands out a fully reset packet with `slot` stamped. Grows by one chunk
@@ -94,8 +105,10 @@ class PacketPool {
 
   // Bytes owned by the slab and its bookkeeping (memory-accounting hook).
   std::size_t memoryBytes() const {
-    std::size_t n = chunks_.capacity() * sizeof(chunks_[0]) +
-                    chunks_.size() * kChunkSize * sizeof(Packet) +
+    const std::size_t chunks = slots_ / kChunkSize;
+    const std::size_t pages = (chunks + kPageChunks - 1) / kPageChunks;
+    std::size_t n = sizeof(pages_) + pages * sizeof(Page) +
+                    chunks * kChunkSize * sizeof(Packet) +
                     free_.capacity() * sizeof(PacketRef);
 #ifndef NDEBUG
     n += live_.capacity();
@@ -104,9 +117,20 @@ class PacketPool {
   }
 
  private:
+  // Chunk-table geometry: a page holds kPageChunks chunk pointers, and the
+  // directory holds enough pages to cover kLaneSpan slots.
+  static constexpr std::uint32_t kPageChunks = 256;
+  static constexpr std::uint32_t kPageShift = kChunkShift + 8;  // slots per page, log2
+  static constexpr std::uint32_t kDirPages = kLaneSpan >> kPageShift;
+  static_assert(kPageChunks << kChunkShift == 1u << kPageShift);
+  using Page = std::array<std::unique_ptr<Packet[]>, kPageChunks>;
+
   void addChunk() {
     HXWAR_CHECK_MSG(slots_ + kChunkSize <= kLaneSpan, "packet slab exhausted (2^26 slots/lane)");
-    chunks_.push_back(std::make_unique<Packet[]>(kChunkSize));
+    std::unique_ptr<Page>& page = pages_[slots_ >> kPageShift];
+    if (page == nullptr) page = std::make_unique<Page>();
+    (*page)[(slots_ >> kChunkShift) & (kPageChunks - 1)] =
+        std::make_unique<Packet[]>(kChunkSize);
     const PacketRef base = refBase_ + slots_;
     slots_ += kChunkSize;
 #ifndef NDEBUG
@@ -118,7 +142,7 @@ class PacketPool {
     }
   }
 
-  std::vector<std::unique_ptr<Packet[]>> chunks_;
+  std::array<std::unique_ptr<Page>, kDirPages> pages_;
   std::vector<PacketRef> free_;   // LIFO: hottest slot first (global refs)
   PacketRef refBase_ = 0;         // lane << kLaneShift
   std::uint32_t slots_ = 0;       // local slot count

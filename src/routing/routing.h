@@ -63,8 +63,8 @@ struct RouteContext {
   // Fault-aware algorithms (DAL/DimWAR/OmniWAR) consult it — including
   // one-step lookahead at remote routers — to skip dead candidates; the
   // router additionally filters every returned candidate against it, so
-  // non-fault-aware algorithms fail loudly (or drop, under --fault-drop) at
-  // the dead end instead of stalling forever.
+  // non-fault-aware algorithms fail loudly (or drop, under
+  // --fault-policy=drop) at the dead end instead of stalling forever.
   const fault::DeadPortMask* deadPorts = nullptr;
   // Observability sink when attached (nullptr otherwise). Source-adaptive
   // algorithms report path-level deroute commitments through it.

@@ -142,7 +142,7 @@ TEST(DeadlockDetector, NamesAllocationWaitCycleUnderAtomicDal) {
   spec.injection.rate = 0.9;
   spec.fault.rate = 0.02;
   spec.fault.seed = 7;  // connected and one-deroute-routable draw
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   spec.steady.maxWarmupWindows = 8;
   spec.steady.measureWindow = 3000;
   spec.steady.drainWindow = 0;

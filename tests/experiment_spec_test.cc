@@ -1,7 +1,7 @@
 // Tests for the unified ExperimentSpec layer: end-to-end steady state on all
 // five topology families, config-file loading (dragonfly_ugal.cfg), serialize
-// round-trips, the legacy ExperimentConfig::toSpec() equivalence, strict
-// u32-list flag validation, and jobs=1 vs jobs=4 bit-identity off-HyperX.
+// round-trips, strict u32-list flag validation, and jobs=1 vs jobs=4
+// bit-identity off-HyperX.
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
@@ -107,24 +107,6 @@ TEST(ExperimentSpec, FormatDoubleRoundTripsExactly) {
   for (const double v : {0.1, 1.0 / 3.0, 1.5, 0.933333333333333337, 1e-9}) {
     EXPECT_EQ(std::stod(formatDouble(v)), v);
   }
-}
-
-TEST(ExperimentSpec, ToSpecSimulatesIdenticallyToLegacyConfig) {
-  ExperimentConfig config = tinyScaleConfig();
-  config.algorithm = "ugal";
-  config.pattern = "bc";
-  config.routingOpts.ugalBias = 1.25;
-  config.injection.rate = 0.15;
-
-  const SweepPoint viaConfig = runSweepPoint(config, 0.15, 2);
-  const SweepPoint viaSpec = runSweepPoint(config.toSpec(), 0.15, 2);
-  EXPECT_EQ(viaConfig.result.saturated, viaSpec.result.saturated);
-  EXPECT_EQ(viaConfig.result.accepted, viaSpec.result.accepted);
-  EXPECT_EQ(viaConfig.result.latencyMean, viaSpec.result.latencyMean);
-  EXPECT_EQ(viaConfig.result.latencyP99, viaSpec.result.latencyP99);
-  EXPECT_EQ(viaConfig.result.avgHops, viaSpec.result.avgHops);
-  EXPECT_EQ(viaConfig.result.avgDeroutes, viaSpec.result.avgDeroutes);
-  EXPECT_EQ(viaConfig.result.packetsMeasured, viaSpec.result.packetsMeasured);
 }
 
 void expectIdenticalSweeps(const ExperimentSpec& spec) {

@@ -327,7 +327,7 @@ TEST(FaultRouting, DorDropsAtDeadEndsWhenAsked) {
   topo::HyperX probe({{4, 4}, 2});
   const std::uint64_t seed = routableSeed(probe, 0.08, 100);
   auto spec = degradedSpec("dor", 0.08, seed);
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   harness::Experiment exp(spec);
   const auto r = exp.run();
   EXPECT_GT(exp.network().packetsDropped(), 0u);
@@ -525,7 +525,6 @@ TEST(FaultSpecSerialize, RoundTripsThroughConfigText) {
   spec.fault.routers = "9";
   spec.fault.at = 1000;
   spec.fault.until = 2500;
-  spec.fault.drop = true;
 
   Flags flags;
   ASSERT_TRUE(flags.loadText(spec.serialize()));
@@ -536,7 +535,6 @@ TEST(FaultSpecSerialize, RoundTripsThroughConfigText) {
   EXPECT_EQ(back.fault.routers, spec.fault.routers);
   EXPECT_EQ(back.fault.at, spec.fault.at);
   EXPECT_EQ(back.fault.until, spec.fault.until);
-  EXPECT_EQ(back.fault.drop, spec.fault.drop);
 }
 
 TEST(FaultSpecSerialize, FaultPolicyRoundTrips) {
@@ -550,13 +548,6 @@ TEST(FaultSpecSerialize, FaultPolicyRoundTrips) {
     ASSERT_TRUE(flags.loadText(spec.serialize()));
     EXPECT_EQ(harness::ExperimentSpec::fromFlags(flags).fault.policy, policy);
   }
-  // The legacy drop flag folds into the effective policy without rewriting
-  // the serialized spec.
-  harness::ExperimentSpec legacy;
-  legacy.fault.rate = 0.05;
-  legacy.fault.drop = true;
-  EXPECT_EQ(legacy.fault.effectivePolicy(), fault::FaultPolicy::kDrop);
-  EXPECT_EQ(legacy.serialize().find("fault-policy"), std::string::npos);
 }
 
 TEST(FaultEscape, EscapeTableEmitsDistanceDescentOnly) {

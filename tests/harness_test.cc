@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/csv.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
-#include "metrics/link_util.h"
+#include "obs/window.h"
 
 namespace hxwar::harness {
 namespace {
@@ -67,80 +69,75 @@ TEST(Csv, EmptyPathDisablesSilently) {
 
 TEST(Experiment, BuildsAllAlgorithmPatternCombos) {
   for (const auto& algorithm : routing::hyperxAlgorithmNames()) {
-    ExperimentConfig cfg = tinyScaleConfig();
-    cfg.algorithm = algorithm;
-    cfg.pattern = "ur";
-    Experiment exp(cfg);
+    ExperimentSpec spec = scaleSpec("tiny");
+    spec.routing = algorithm;
+    spec.pattern = "ur";
+    Experiment exp(spec);
     EXPECT_EQ(exp.network().numNodes(), 18u);
     EXPECT_FALSE(exp.routing().info().name.empty());
   }
 }
 
 TEST(Experiment, SaturationThroughputIsPositiveAndBounded) {
-  ExperimentConfig cfg = tinyScaleConfig();
-  cfg.algorithm = "omniwar";
-  cfg.pattern = "ur";
-  cfg.steady.maxWarmupWindows = 10;
-  const double accepted = saturationThroughput(cfg, 1.0);
+  ExperimentSpec spec = scaleSpec("tiny");
+  spec.routing = "omniwar";
+  spec.pattern = "ur";
+  spec.steady.maxWarmupWindows = 10;
+  const double accepted = saturationThroughput(spec, 1.0);
   EXPECT_GT(accepted, 0.3);
   EXPECT_LE(accepted, 1.01);
 }
 
-TEST(LinkUtil, CountsMatchNetworkActivity) {
-  ExperimentConfig cfg = tinyScaleConfig();
-  cfg.algorithm = "dor";
-  cfg.pattern = "ur";
-  cfg.injection.rate = 0.3;
-  Experiment exp(cfg);
+// Inter-router link utilization over a measured window, from the deltas of
+// the network's cumulative per-link counters.
+std::vector<double> linkUtilization(Experiment& exp, Tick warmup, Tick window) {
   exp.injector().start();
-  exp.sim().run(500);
-  metrics::LinkUtilization links(exp.network());
-  exp.sim().run(exp.sim().now() + 2000);
+  exp.sim().run(warmup);
+  std::vector<std::uint64_t> before;
+  exp.network().forEachLinkStats(
+      [&](const obs::LinkStatsRow& row) { before.push_back(row.flitsSent); });
+  const Tick t0 = exp.sim().now();
+  exp.sim().run(t0 + window);
   exp.injector().stop();
-  const auto summary = links.summarize();
-  EXPECT_GT(summary.links, 0u);
-  EXPECT_GT(summary.meanUtilization, 0.0);
-  EXPECT_LE(summary.maxUtilization, 1.0 + 1e-9);
-  EXPECT_GE(summary.imbalance, 1.0);
-  // The snapshot is sorted by flits, descending.
-  const auto snap = links.snapshot();
-  for (std::size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_GE(snap[i - 1].flits, snap[i].flits);
-  }
+  const auto elapsed = static_cast<double>(exp.sim().now() - t0);
+  std::vector<double> util;
+  exp.network().forEachLinkStats([&](const obs::LinkStatsRow& row) {
+    util.push_back(static_cast<double>(row.flitsSent - before[util.size()]) / elapsed);
+  });
+  return util;
 }
 
-TEST(LinkUtil, ResetRebasesCounters) {
-  ExperimentConfig cfg = tinyScaleConfig();
-  cfg.injection.rate = 0.3;
-  Experiment exp(cfg);
-  exp.injector().start();
-  exp.sim().run(1000);
-  metrics::LinkUtilization links(exp.network());
-  links.reset();
-  exp.injector().stop();
-  exp.sim().run();
-  // After stopping, only the drain's flits appear.
-  const auto snap = links.snapshot();
-  std::uint64_t total = 0;
-  for (const auto& l : snap) total += l.flits;
-  EXPECT_LT(total, exp.network().flitsEjected() * 4);
+double mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  return sum / v.size();
+}
+
+TEST(LinkUtil, CountsMatchNetworkActivity) {
+  ExperimentSpec spec = scaleSpec("tiny");
+  spec.routing = "dor";
+  spec.pattern = "ur";
+  spec.injection.rate = 0.3;
+  Experiment exp(spec);
+  const std::vector<double> util = linkUtilization(exp, 500, 2000);
+  ASSERT_FALSE(util.empty());
+  const double max = *std::max_element(util.begin(), util.end());
+  EXPECT_GT(mean(util), 0.0);
+  EXPECT_LE(max, 1.0 + 1e-9);  // a link carries at most one flit per cycle
+  EXPECT_GE(max / mean(util), 1.0);
 }
 
 TEST(LinkUtil, HotLinkVisibleUnderAdversarialDor) {
   // URBy under DOR creates saturated Y links; the imbalance must show.
-  ExperimentConfig cfg = smallScaleConfig();
-  cfg.algorithm = "dor";
-  cfg.pattern = "urby";
-  cfg.injection.rate = 0.35;
-  Experiment exp(cfg);
-  exp.injector().start();
-  exp.sim().run(1500);
-  metrics::LinkUtilization links(exp.network());
-  exp.sim().run(exp.sim().now() + 2500);
-  exp.injector().stop();
-  const auto summary = links.summarize();
-  EXPECT_GT(summary.maxUtilization, 0.9);  // the funnel link is saturated
-  EXPECT_GT(summary.imbalance, 2.0);
+  ExperimentSpec spec = scaleSpec("small");
+  spec.routing = "dor";
+  spec.pattern = "urby";
+  spec.injection.rate = 0.35;
+  Experiment exp(spec);
+  const std::vector<double> util = linkUtilization(exp, 1500, 2500);
+  const double max = *std::max_element(util.begin(), util.end());
+  EXPECT_GT(max, 0.9);  // the funnel link is saturated
+  EXPECT_GT(max / mean(util), 2.0);
 }
 
 }  // namespace

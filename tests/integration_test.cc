@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -17,19 +18,30 @@
 namespace hxwar {
 namespace {
 
+// The ctest name of each case ends in gtest's byte printout of its Scenario.
+// The names are held inline, zero-padded, so that printout holds no heap
+// pointer and the ctest name is the same on every build.
 struct Scenario {
-  std::string algorithm;
-  std::string pattern;
+  char algorithm[32];
+  char pattern[32];
 };
 
+Scenario makeScenario(std::string_view algorithm, std::string_view pattern) {
+  Scenario s{};
+  algorithm.copy(s.algorithm, sizeof(s.algorithm) - 1);
+  pattern.copy(s.pattern, sizeof(s.pattern) - 1);
+  return s;
+}
+
 std::string scenarioName(const ::testing::TestParamInfo<Scenario>& info) {
-  return info.param.algorithm + "_" + info.param.pattern;
+  return std::string(info.param.algorithm) + "_" + info.param.pattern;
 }
 
 class DrainProperty : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(DrainProperty, BurstDrainsCompletelyWithBoundedPaths) {
-  const auto& [algorithm, patternName] = std::tie(GetParam().algorithm, GetParam().pattern);
+  const std::string algorithm = GetParam().algorithm;
+  const std::string patternName = GetParam().pattern;
 
   sim::Simulator sim;
   topo::HyperX topo({{4, 4, 4}, 2});
@@ -101,7 +113,7 @@ std::vector<Scenario> allScenarios() {
   std::vector<Scenario> v;
   for (const char* a : {"dor", "val", "minad", "ugal", "closad", "dimwar", "omniwar"}) {
     for (const char* p : {"ur", "bc", "urby", "s2", "dcr", "tp"}) {
-      v.push_back(Scenario{a, p});
+      v.push_back(makeScenario(a, p));
     }
   }
   return v;

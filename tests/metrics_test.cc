@@ -56,11 +56,11 @@ TEST(SampleStats, InterleavedAddAndQuery) {
 
 // Steady-state controller end-to-end on a tiny network.
 TEST(SteadyState, LowLoadIsStableAndAccurate) {
-  harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-  cfg.algorithm = "dimwar";
-  cfg.pattern = "ur";
-  cfg.injection.rate = 0.2;
-  harness::Experiment exp(cfg);
+  harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+  spec.routing = "dimwar";
+  spec.pattern = "ur";
+  spec.injection.rate = 0.2;
+  harness::Experiment exp(spec);
   const auto r = exp.run();
   EXPECT_FALSE(r.saturated);
   EXPECT_NEAR(r.accepted, 0.2, 0.04);
@@ -71,12 +71,12 @@ TEST(SteadyState, LowLoadIsStableAndAccurate) {
 }
 
 TEST(SteadyState, OverloadIsDeclaredSaturated) {
-  harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-  cfg.algorithm = "dor";
-  cfg.pattern = "bc";  // DOR caps well below 0.9 on bit complement
-  cfg.injection.rate = 0.9;
-  cfg.steady.maxWarmupWindows = 10;
-  harness::Experiment exp(cfg);
+  harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+  spec.routing = "dor";
+  spec.pattern = "bc";  // DOR caps well below 0.9 on bit complement
+  spec.injection.rate = 0.9;
+  spec.steady.maxWarmupWindows = 10;
+  harness::Experiment exp(spec);
   const auto r = exp.run();
   EXPECT_TRUE(r.saturated);
   EXPECT_LT(r.accepted, 0.85);
@@ -84,10 +84,10 @@ TEST(SteadyState, OverloadIsDeclaredSaturated) {
 
 TEST(SteadyState, AcceptedTracksOfferedWhenStable) {
   for (double load : {0.1, 0.3}) {
-    harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-    cfg.algorithm = "omniwar";
-    cfg.injection.rate = load;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+    spec.routing = "omniwar";
+    spec.injection.rate = load;
+    harness::Experiment exp(spec);
     const auto r = exp.run();
     EXPECT_FALSE(r.saturated) << "load " << load;
     EXPECT_NEAR(r.accepted, load, 0.05) << "load " << load;
@@ -98,10 +98,10 @@ TEST(SteadyState, LatencyGrowsWithLoad) {
   double lat[2] = {0, 0};
   int i = 0;
   for (double load : {0.1, 0.5}) {
-    harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-    cfg.algorithm = "dimwar";
-    cfg.injection.rate = load;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+    spec.routing = "dimwar";
+    spec.injection.rate = load;
+    harness::Experiment exp(spec);
     lat[i++] = exp.run().latencyMean;
   }
   EXPECT_GT(lat[1], lat[0]);
@@ -109,13 +109,13 @@ TEST(SteadyState, LatencyGrowsWithLoad) {
 
 TEST(SteadyState, FullyDeterministicAcrossRuns) {
   auto runOnce = [] {
-    harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-    cfg.algorithm = "omniwar";
-    cfg.pattern = "bc";
-    cfg.injection.rate = 0.3;
-    cfg.injection.seed = 33;
-    cfg.net.rngSeed = 34;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+    spec.routing = "omniwar";
+    spec.pattern = "bc";
+    spec.injection.rate = 0.3;
+    spec.injection.seed = 33;
+    spec.net.rngSeed = 34;
+    harness::Experiment exp(spec);
     return exp.run();
   };
   const auto a = runOnce();
@@ -129,11 +129,11 @@ TEST(SteadyState, FullyDeterministicAcrossRuns) {
 
 TEST(SteadyState, SeedChangesResultsSlightly) {
   auto runWithSeed = [](std::uint64_t seed) {
-    harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-    cfg.algorithm = "dimwar";
-    cfg.injection.rate = 0.3;
-    cfg.injection.seed = seed;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+    spec.routing = "dimwar";
+    spec.injection.rate = 0.3;
+    spec.injection.seed = seed;
+    harness::Experiment exp(spec);
     return exp.run();
   };
   const auto a = runWithSeed(1);
@@ -145,10 +145,10 @@ TEST(SteadyState, SeedChangesResultsSlightly) {
 }
 
 TEST(SteadyState, ZeroLoadEdgeBehaviour) {
-  harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-  cfg.algorithm = "dor";
-  cfg.injection.rate = 0.01;  // near-zero load: must stabilize fast
-  harness::Experiment exp(cfg);
+  harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+  spec.routing = "dor";
+  spec.injection.rate = 0.01;  // near-zero load: must stabilize fast
+  harness::Experiment exp(spec);
   const auto r = exp.run();
   EXPECT_FALSE(r.saturated);
   EXPECT_NEAR(r.accepted, 0.01, 0.01);
@@ -163,24 +163,115 @@ TEST(Harness, LoadGridGeneration) {
 }
 
 TEST(Harness, SweepStopsAfterSaturation) {
-  harness::ExperimentConfig cfg = harness::tinyScaleConfig();
-  cfg.algorithm = "dor";
-  cfg.pattern = "bc";
-  cfg.steady.maxWarmupWindows = 8;
-  const auto points = harness::loadLatencySweep(cfg, harness::loadGrid(0.2, 1.0));
+  harness::ExperimentSpec spec = harness::scaleSpec("tiny");
+  spec.routing = "dor";
+  spec.pattern = "bc";
+  spec.steady.maxWarmupWindows = 8;
+  const auto points = harness::loadLatencySweep(spec, harness::loadGrid(0.2, 1.0));
   ASSERT_GE(points.size(), 2u);
   EXPECT_LT(points.size(), 5u);  // saturates early, sweep stops
   EXPECT_TRUE(points.back().result.saturated);
 }
 
-TEST(Harness, ScalePresetsDiffer) {
-  const auto tiny = harness::tinyScaleConfig();
-  const auto small = harness::smallScaleConfig();
-  const auto paper = harness::paperScaleConfig();
-  EXPECT_LT(tiny.widths[0], small.widths[0]);
-  EXPECT_EQ(paper.widths, (std::vector<std::uint32_t>{8, 8, 8}));
-  EXPECT_EQ(paper.terminalsPerRouter, 8u);
-  EXPECT_EQ(paper.net.channelLatencyRouter, 50u);
+// Pins every knob of each preset: tiny drives most unit tests, small the
+// benches, paper the paper-scale gates. A preset change must edit this text.
+TEST(Harness, ScalePresetsArePinned) {
+  EXPECT_EQ(harness::scaleSpec("tiny").serialize(), R"(topology = hyperx
+routing = dimwar
+pattern = ur
+pattern-seed = 7
+channel-latency = 4
+terminal-latency = 1
+net-seed = 1
+vcs = 8
+input-buffer = 12
+output-queue = 4
+xbar-latency = 2
+speedup = 2
+bias = 4
+vct = true
+arbiter = age
+load = 0.1
+min-flits = 1
+max-flits = 16
+seed = 7
+warmup-window = 500
+warmup-windows = 30
+stable-windows = 2
+stability-tol = 0.05
+backlog-growth-tol = 1.1
+accepted-tol = 0.93
+measure-window = 2000
+drain-window = 10000
+min-measure-packets = 100
+terminals = 2
+ugal-bias = 1
+widths = 3,3
+)");
+  EXPECT_EQ(harness::scaleSpec("small").serialize(), R"(topology = hyperx
+routing = dimwar
+pattern = ur
+pattern-seed = 7
+channel-latency = 8
+terminal-latency = 1
+net-seed = 1
+vcs = 8
+input-buffer = 48
+output-queue = 32
+xbar-latency = 4
+speedup = 4
+bias = 4
+vct = true
+arbiter = age
+load = 0.1
+min-flits = 1
+max-flits = 16
+seed = 7
+warmup-window = 1000
+warmup-windows = 18
+stable-windows = 2
+stability-tol = 0.05
+backlog-growth-tol = 1.1
+accepted-tol = 0.93
+measure-window = 3000
+drain-window = 8000
+min-measure-packets = 100
+terminals = 4
+ugal-bias = 1
+widths = 4,4,4
+)");
+  EXPECT_EQ(harness::scaleSpec("paper").serialize(), R"(topology = hyperx
+routing = dimwar
+pattern = ur
+pattern-seed = 7
+channel-latency = 50
+terminal-latency = 5
+net-seed = 1
+vcs = 8
+input-buffer = 160
+output-queue = 32
+xbar-latency = 50
+speedup = 4
+bias = 4
+vct = true
+arbiter = age
+load = 0.1
+min-flits = 1
+max-flits = 16
+seed = 7
+warmup-window = 5000
+warmup-windows = 60
+stable-windows = 2
+stability-tol = 0.05
+backlog-growth-tol = 1.1
+accepted-tol = 0.93
+measure-window = 20000
+drain-window = 100000
+min-measure-packets = 100
+terminals = 8
+ugal-bias = 1
+widths = 8,8,8
+)");
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ TEST(Obs, RecorderAnnotatesTransientFaultEdges) {
   harness::ExperimentSpec spec = quickTinySpec("dal", 0.2);
   spec.fault.rate = 0.06;
   spec.fault.seed = 99;
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   spec.fault.at = 500;
   spec.fault.until = 1400;
   spec.obs.windowTicks = 400;

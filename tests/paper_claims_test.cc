@@ -10,16 +10,16 @@
 namespace hxwar {
 namespace {
 
-harness::ExperimentConfig quick(const std::string& algorithm, const std::string& pattern,
-                                double load) {
-  harness::ExperimentConfig cfg = harness::smallScaleConfig();
-  cfg.algorithm = algorithm;
-  cfg.pattern = pattern;
-  cfg.injection.rate = load;
-  cfg.steady.maxWarmupWindows = 10;
-  cfg.steady.measureWindow = 2000;
-  cfg.steady.drainWindow = 5000;
-  return cfg;
+harness::ExperimentSpec quick(const std::string& algorithm, const std::string& pattern,
+                              double load) {
+  harness::ExperimentSpec spec = harness::scaleSpec("small");
+  spec.routing = algorithm;
+  spec.pattern = pattern;
+  spec.injection.rate = load;
+  spec.steady.maxWarmupWindows = 10;
+  spec.steady.measureWindow = 2000;
+  spec.steady.drainWindow = 5000;
+  return spec;
 }
 
 metrics::SteadyStateResult run(const std::string& algorithm, const std::string& pattern,
@@ -93,9 +93,9 @@ TEST(PaperClaims, Fig6e_Swap2SpareBandwidth) {
 // routing; Fig. 8a: collectives are fine for everyone except VAL.
 TEST(PaperClaims, Fig8_StencilOrdering) {
   auto stencilTime = [](const char* algorithm, app::StencilMode mode) {
-    harness::ExperimentConfig cfg = harness::smallScaleConfig();
-    cfg.algorithm = algorithm;
-    harness::Experiment exp(cfg);
+    harness::ExperimentSpec spec = harness::scaleSpec("small");
+    spec.routing = algorithm;
+    harness::Experiment exp(spec);
     app::StencilConfig sc;
     sc.grid = {8, 8, 4};
     sc.haloBytesPerNode = 48 * 1024;

@@ -176,7 +176,7 @@ TEST(ParSim, TimelineBitIdenticalFaulted) {
   harness::ExperimentSpec spec = tinySpec("dal");
   spec.fault.rate = 0.06;
   spec.fault.seed = 99;
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   expectWindowsInvariant(spec);
 }
 
@@ -187,7 +187,7 @@ TEST(ParSim, TimelineBitIdenticalTransientFault) {
   harness::ExperimentSpec spec = tinySpec("dal");
   spec.fault.rate = 0.06;
   spec.fault.seed = 99;
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   spec.fault.at = 500;
   spec.fault.until = 1400;
   expectWindowsInvariant(spec);
@@ -206,7 +206,7 @@ TEST(ParSim, BitIdenticalFaulted) {
     harness::ExperimentSpec spec = tinySpec(algo);
     spec.fault.rate = 0.06;
     spec.fault.seed = 99;
-    spec.fault.drop = true;  // dead ends drop instead of aborting
+    spec.fault.policy = fault::FaultPolicy::kDrop;  // dead ends drop instead of aborting
     expectPointJobsInvariant(spec);
   }
 }
@@ -238,7 +238,7 @@ TEST(ParSim, BitIdenticalTransientFaultAcrossShards) {
   harness::ExperimentSpec spec = tinySpec("dal");
   spec.fault.rate = 0.06;
   spec.fault.seed = 99;
-  spec.fault.drop = true;
+  spec.fault.policy = fault::FaultPolicy::kDrop;
   spec.fault.at = 500;
   spec.fault.until = 1400;
   expectPointJobsInvariant(spec);
@@ -270,6 +270,35 @@ TEST(ParSim, BitIdenticalDragonfly) {
   spec.steady.drainWindow = 3000;
   spec.steady.minMeasurePackets = 1;
   expectPointJobsInvariant(spec);
+}
+
+TEST(ParSim, BitIdenticalWhilePacketPoolsGrow) {
+  // A saturated small OmniWAR/URBy point: source queues grow without bound,
+  // so every lane keeps adding 1,024-slot chunks to its packet pool while the
+  // other lanes' workers resolve refs into it. The tiny specs above stay
+  // within one chunk per lane and never grow a pool under cross-lane reads.
+  harness::ExperimentSpec spec = harness::scaleSpec("small");
+  spec.routing = "omniwar";
+  spec.pattern = "urby";
+  spec.injection.rate = 1.0;
+  spec.steady.warmupWindow = 300;
+  spec.steady.maxWarmupWindows = 4;
+  spec.steady.measureWindow = 600;
+  const metrics::SteadyStateResult ref =
+      harness::runSweepPoint(spec, spec.injection.rate, 0).result;
+  EXPECT_TRUE(ref.saturated);
+  for (const std::uint32_t jobs : {2u, 4u}) {
+    SCOPED_TRACE("point-jobs=" + std::to_string(jobs));
+    harness::ExperimentSpec sharded = spec;
+    sharded.pointJobs = jobs;
+    harness::Experiment exp(harness::sweepPointConfig(sharded, spec.injection.rate, 0));
+    expectResultsIdentical(ref, exp.run());
+    ASSERT_EQ(exp.network().numLanes(), jobs);
+    for (std::uint32_t lane = 0; lane < jobs; ++lane) {
+      EXPECT_GE(exp.network().pool(lane).size(), std::size_t{4} * net::PacketPool::kChunkSize)
+          << "lane " << lane;
+    }
+  }
 }
 
 TEST(ParSim, ShardCountClampsToRouters) {

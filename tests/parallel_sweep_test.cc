@@ -89,14 +89,14 @@ TEST(ThreadPool, ExceptionPropagatesThroughParallelMap) {
 
 // --- determinism of the sweep engine ---
 
-ExperimentConfig sweepBase(const std::string& algorithm, std::uint64_t seed) {
-  ExperimentConfig cfg = tinyScaleConfig();
-  cfg.algorithm = algorithm;
-  cfg.pattern = "ur";
-  cfg.injection.seed = seed;
-  cfg.net.rngSeed = seed + 1;
-  cfg.steady.maxWarmupWindows = 8;
-  return cfg;
+ExperimentSpec sweepBase(const std::string& algorithm, std::uint64_t seed) {
+  ExperimentSpec spec = scaleSpec("tiny");
+  spec.routing = algorithm;
+  spec.pattern = "ur";
+  spec.injection.seed = seed;
+  spec.net.rngSeed = seed + 1;
+  spec.steady.maxWarmupWindows = 8;
+  return spec;
 }
 
 void expectBitIdentical(const std::vector<SweepPoint>& a, const std::vector<SweepPoint>& b) {
@@ -128,13 +128,13 @@ TEST(ParallelSweep, BitIdenticalToSerialAcrossAlgorithmsAndSeeds) {
   for (const std::string algorithm : {"dimwar", "omniwar", "ugal"}) {
     for (const std::uint64_t seed : {7ull, 21ull}) {
       SCOPED_TRACE(algorithm + " seed=" + std::to_string(seed));
-      const ExperimentConfig cfg = sweepBase(algorithm, seed);
+      const ExperimentSpec spec = sweepBase(algorithm, seed);
       SweepOptions serial;
       serial.jobs = 1;
       SweepOptions parallel;
       parallel.jobs = 4;
-      expectBitIdentical(runLoadSweep(cfg, loads, serial),
-                         runLoadSweep(cfg, loads, parallel));
+      expectBitIdentical(runLoadSweep(spec, loads, serial),
+                         runLoadSweep(spec, loads, parallel));
     }
   }
 }
@@ -142,34 +142,34 @@ TEST(ParallelSweep, BitIdenticalToSerialAcrossAlgorithmsAndSeeds) {
 TEST(ParallelSweep, EarlyStopCutMatchesSerial) {
   // dor on bit-complement saturates early at tiny scale; the parallel runner
   // speculates past the frontier and must discard the same ordered suffix.
-  ExperimentConfig cfg = sweepBase("dor", 7);
-  cfg.pattern = "bc";
+  ExperimentSpec spec = sweepBase("dor", 7);
+  spec.pattern = "bc";
   const auto loads = loadGrid(0.2, 1.0);
   SweepOptions serial;
   serial.jobs = 1;
   SweepOptions parallel;
   parallel.jobs = 4;
   parallel.waveFactor = 1;  // exercise the cross-wave streak carry too
-  const auto a = runLoadSweep(cfg, loads, serial);
-  const auto b = runLoadSweep(cfg, loads, parallel);
+  const auto a = runLoadSweep(spec, loads, serial);
+  const auto b = runLoadSweep(spec, loads, parallel);
   expectBitIdentical(a, b);
   EXPECT_LT(a.size(), loads.size());  // the cut actually fired
   EXPECT_TRUE(a.back().result.saturated);
 }
 
 TEST(ParallelSweep, MatchesLegacySerialEntryPoint) {
-  const ExperimentConfig cfg = sweepBase("dimwar", 7);
+  const ExperimentSpec spec = sweepBase("dimwar", 7);
   const auto loads = loadGrid(0.25, 0.75);
   SweepOptions parallel;
   parallel.jobs = 3;
-  expectBitIdentical(loadLatencySweep(cfg, loads), runLoadSweep(cfg, loads, parallel));
+  expectBitIdentical(loadLatencySweep(spec, loads), runLoadSweep(spec, loads, parallel));
 }
 
 TEST(ParallelSweep, TelemetryIsPopulated) {
-  const ExperimentConfig cfg = sweepBase("dimwar", 7);
+  const ExperimentSpec spec = sweepBase("dimwar", 7);
   SweepOptions opts;
   opts.jobs = 2;
-  const auto points = runLoadSweep(cfg, {0.3}, opts);
+  const auto points = runLoadSweep(spec, {0.3}, opts);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_GT(points[0].eventsProcessed, 0u);
   EXPECT_GT(points[0].wallSeconds, 0.0);
@@ -177,7 +177,7 @@ TEST(ParallelSweep, TelemetryIsPopulated) {
 }
 
 TEST(ParallelSweep, SeedsDeriveFromPointIndexNotOrder) {
-  const ExperimentConfig base = sweepBase("dimwar", 7);
+  const ExperimentSpec base = sweepBase("dimwar", 7);
   // Same index, same load => same derived seeds regardless of anything else.
   const auto a = sweepPointConfig(base, 0.4, 3);
   const auto b = sweepPointConfig(base, 0.4, 3);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "topo/hyperx.h"
@@ -127,6 +128,15 @@ TEST_P(HyperXWiring, TerminalIdsArePartition) {
   EXPECT_EQ(seen.size(), h.numNodes());
 }
 
+// Case names like 4_4_k2_t2 (widths, terminals, trunking > 1).
+std::string shapeName(const ::testing::TestParamInfo<Params>& info) {
+  std::string name;
+  for (const std::uint32_t w : info.param.widths) name += std::to_string(w) + "_";
+  name += "k" + std::to_string(info.param.terminalsPerRouter);
+  if (info.param.trunking > 1) name += "_t" + std::to_string(info.param.trunking);
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, HyperXWiring,
                          ::testing::Values(Params{{2}, 1},            // smallest
                                            Params{{4, 4}, 2},         // 2D
@@ -135,7 +145,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HyperXWiring,
                                            Params{{2, 2, 2, 2}, 1},   // hypercube
                                            Params{{3, 3, 3}, 2},
                                            Params{{4, 4}, 2, 2},      // trunked T=2
-                                           Params{{3, 3}, 1, 3}));    // trunked T=3
+                                           Params{{3, 3}, 1, 3}),     // trunked T=3
+                         shapeName);
 
 TEST(HyperXTrunking, PortLayoutAndInverse) {
   HyperX h(Params{{4, 4}, 2, 3});  // T = 3

@@ -1,6 +1,8 @@
 // Torus substrate + dateline-DOR tests (the §2.1 background scheme).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/network.h"
 #include "routing/torus_routing.h"
 #include "sim/simulator.h"
@@ -120,11 +122,19 @@ TEST_P(TorusDrain, AdversarialBurstDrains) {
   EXPECT_EQ(delivered, injector.offeredPackets());
 }
 
+// Case names like 4_4_k2 (widths, terminals).
+std::string shapeName(const ::testing::TestParamInfo<topo::Torus::Params>& info) {
+  std::string name;
+  for (const std::uint32_t w : info.param.widths) name += std::to_string(w) + "_";
+  return name + "k" + std::to_string(info.param.terminalsPerRouter);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, TorusDrain,
                          ::testing::Values(topo::Torus::Params{{8}, 2},
                                            topo::Torus::Params{{4, 4}, 2},
                                            topo::Torus::Params{{3, 5}, 1},
-                                           topo::Torus::Params{{4, 4, 4}, 1}));
+                                           topo::Torus::Params{{4, 4, 4}, 1}),
+                         shapeName);
 
 }  // namespace
 }  // namespace hxwar

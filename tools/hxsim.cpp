@@ -20,12 +20,12 @@
 // link failures, --fault-links=r:p,... / --fault-routers=r,... name them
 // explicitly, --fault-at/--fault-until make them transient, and
 // --fault-policy={abort,drop,retry,escape} selects the dead-end ladder
-// (--fault-drop=true remains as the legacy spelling of drop; faulted runs add
-// `dropped`/`stretch` columns). escape/drop/retry tolerate partitioned fault
-// sets, reporting unreachable pairs as metrics. A point that still aborts is
-// retried once and then reported as a FAILED row (crash isolation) rather
-// than killing the sweep. --vc-policy={static,dateline,escape} selects the
-// VC/deadlock-avoidance scheme per algorithm. See fault/fault_model.h.
+// (faulted runs add `dropped`/`stretch` columns). escape/drop/retry tolerate
+// partitioned fault sets, reporting unreachable pairs as metrics. A point
+// that still aborts is retried once and then reported as a FAILED row (crash
+// isolation) rather than killing the sweep. --vc-policy={static,dateline,
+// escape} selects the VC/deadlock-avoidance scheme per algorithm. See
+// fault/fault_model.h.
 //
 // steady/sweep run through the shared harness::runLoadSweep engine for every
 // topology family, with the standard determinism contract: each point's seeds

@@ -63,6 +63,8 @@ echo "traced --jobs=4 sweep passed under ThreadSanitizer"
 
 # Intra-point parallel engine: the sharded window loop, mailbox hand-off, and
 # barrier merge paths of sim/par (shard workers + control sim + coordinator).
+# ParSim.BitIdenticalWhilePacketPoolsGrow grows every lane's packet pool while
+# other lanes' workers resolve refs into it.
 "${BUILD}/tests/par_sim_test" "$@"
 echo "par_sim_test passed under ThreadSanitizer"
 
@@ -73,7 +75,7 @@ echo "par_sim_test passed under ThreadSanitizer"
 # reads, and the recorder's frozen-state walks all cross the shard boundary.
 "${BUILD}/tools/hxsim" --widths=3,3 --terminals=2 --routing=omniwar \
   --experiment=sweep --loads=0.1,0.2 --jobs=2 --point-jobs=4 \
-  --fault-rate=0.05 --fault-drop=true \
+  --fault-rate=0.05 --fault-policy=drop \
   --trace-sample=1 --sample-interval=200 \
   --warmup-window=300 --warmup-windows=6 --measure-window=800 --drain-window=2000 \
   --window-ticks=400 --timeline-out="${OBS_DIR}/par.timeline.jsonl" \
